@@ -352,6 +352,10 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
   }
 
   resilience::Engine* eng = engine();
+  // Failing an orphan runs its completion callback, which can finish the
+  // page and free this pool (and the string `domain` refers to). Both orphan
+  // loops re-check this token before touching any member again.
+  const std::weak_ptr<char> alive = alive_;
 
   // Whether a retry would exceed its budgets; None means "retry allowed".
   // Deadlines only exist under the engine; the attempt cap always does.
@@ -402,6 +406,7 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
     obs::count("http.pool.connections_refused");
     obs::tl_count("http.pool.connections_refused", sim_.now());
     for (auto& orphan : orphans) {
+      if (alive.expired()) return;  // an earlier failed orphan finished the page
       if (const FailureReason reason = past_budget(orphan); reason != FailureReason::None) {
         fail_orphan(std::move(orphan), version, reason);
         continue;
@@ -424,8 +429,7 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
       backoff += Duration{static_cast<std::int64_t>(
           static_cast<double>(backoff.count()) *
           rng_.uniform(0.0, config_.refusal_backoff_jitter))};
-      sim_.schedule_in(backoff, [this, orphan = std::move(orphan), version,
-                                 alive = std::weak_ptr<char>(alive_)]() mutable {
+      sim_.schedule_in(backoff, [this, orphan = std::move(orphan), version, alive]() mutable {
         if (alive.expired()) return;  // pool gone; the page already finished
         route_rescue(std::move(orphan), version);
       });
@@ -462,6 +466,7 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
   }
 
   for (auto& orphan : orphans) {
+    if (alive.expired()) return;  // an earlier failed orphan finished the page
     if (const FailureReason reason = past_budget(orphan); reason != FailureReason::None) {
       fail_orphan(std::move(orphan), version, reason);
       continue;
@@ -478,8 +483,7 @@ void ConnectionPool::on_session_dead(const std::string& domain, HttpVersion vers
       obs::count("resilience.retries");
       obs::tl_count("resilience.retries", sim_.now());
       const Duration backoff = eng->retry().backoff_for(orphan.attempts, rng_);
-      sim_.schedule_in(backoff, [this, orphan = std::move(orphan), reroute,
-                                 alive = std::weak_ptr<char>(alive_)]() mutable {
+      sim_.schedule_in(backoff, [this, orphan = std::move(orphan), reroute, alive]() mutable {
         if (alive.expired()) return;  // pool gone; the page already finished
         route_rescue(std::move(orphan), reroute);
       });

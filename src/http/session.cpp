@@ -33,11 +33,14 @@ Session::Session(sim::Simulator& sim, std::shared_ptr<transport::Connection> con
 void Session::start() {
   H3CDN_EXPECTS(!started_);
   started_ = true;
-  auto self = shared_from_this();
-  conn_->connect([self](TimePoint) { self->maybe_dispatch(); });
-  // weak: the connection outlives this closure only through the session's own
-  // conn_ reference; a strong self here would make the cycle permanent.
-  std::weak_ptr<Session> weak = self;
+  // Every closure the connection stores holds the session weakly: the
+  // connection lives only through the session's own conn_ reference, so a
+  // strong self in any of them would make the cycle permanent (the
+  // connection keeps its callbacks after they fire).
+  std::weak_ptr<Session> weak = shared_from_this();
+  conn_->connect([weak](TimePoint) {
+    if (auto s = weak.lock()) s->maybe_dispatch();
+  });
   conn_->set_on_dead([weak](transport::ConnectionError error, TimePoint) {
     if (auto s = weak.lock()) s->on_connection_dead(error);
   });
@@ -88,11 +91,13 @@ void Session::dispatch(PendingEntry pending) {
   ++in_flight_;
   active_.push_back(entry);
 
-  auto self = shared_from_this();
+  std::weak_ptr<Session> weak = shared_from_this();
   transport::FetchCallbacks cbs;
   cbs.on_request_sent = [entry](TimePoint t) { entry->request_sent = t; };
   cbs.on_first_byte = [entry](TimePoint t) { entry->first_byte = t; };
-  cbs.on_complete = [self, entry](TimePoint t) { self->finalize(entry, t); };
+  cbs.on_complete = [weak, entry](TimePoint t) {
+    if (auto s = weak.lock()) s->finalize(entry, t);
+  };
   cbs.on_server_request = entry->request.server_hold;
 
   const std::size_t wire_request =

@@ -24,7 +24,7 @@ namespace h3cdn::net {
 /// Transport class of a packet, as seen by middleboxes. QUIC connections tag
 /// everything they send (data, handshake, ACKs) as Udp; TCP connections as
 /// Tcp. UDP-only blackholes drop the former and pass the latter.
-enum class PacketClass { Tcp, Udp };
+enum class PacketClass : std::uint8_t { Tcp, Udp };
 
 /// Why a packet was dropped (LinkStats breakdown + trace events).
 enum class DropReason {

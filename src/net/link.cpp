@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "util/check.h"
 
 namespace h3cdn::net {
@@ -39,10 +39,9 @@ Link::Link(sim::Simulator& sim, LinkConfig config, util::Rng rng)
 
 void Link::reseed_jitter(std::uint64_t salt) { jitter_rng_ = jitter_rng_.fork(salt); }
 
-void Link::transmit(std::size_t size_bytes, std::function<void()> on_deliver, bool lossless,
-                    PacketClass pclass) {
-  H3CDN_EXPECTS(on_deliver != nullptr);
-  obs::ProfileScope profile("net.link.transmit");
+void Link::transmit(std::size_t size_bytes, sim::SmallFn on_deliver, bool lossless,
+                    PacketClass pclass, Link* next_hop) {
+  H3CDN_EXPECTS(static_cast<bool>(on_deliver));
   ++stats_.packets_offered;
   stats_.bytes_offered += size_bytes;
   obs::count("net.link.packets_offered");
@@ -111,7 +110,18 @@ void Link::transmit(std::size_t size_bytes, std::function<void()> on_deliver, bo
   ++stats_.packets_delivered;
   obs::count("net.link.packets_delivered");
   obs::observe_ms("net.link.serialization_wait_ms", start - sim_.now());
-  sim_.schedule_at(arrival, std::move(on_deliver));
+  if (next_hop == nullptr) {
+    sim_.schedule_at(arrival, std::move(on_deliver));
+    return;
+  }
+  H3CDN_EXPECTS(size_bytes <= UINT32_MAX);
+  auto forward = [next_hop, size = static_cast<std::uint32_t>(size_bytes), lossless, pclass,
+                  fn = std::move(on_deliver)]() mutable {
+    next_hop->transmit(size, std::move(fn), lossless, pclass);
+  };
+  static_assert(sim::EventFn::fits_inline<decltype(forward)>(),
+                "a forwarded packet must stay inline in its event slot");
+  sim_.schedule_at(arrival, std::move(forward));
 }
 
 void Link::set_loss_rate(double loss_rate) { config_.loss_rate = checked_loss_rate(loss_rate); }

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "net/fault.h"
@@ -42,6 +41,11 @@ struct LinkStats {
 /// Simulator at (serialization end + latency + jitter); drops simply never
 /// deliver. FIFO is preserved when jitter is zero because serialization
 /// completion times are monotone.
+///
+/// A packet in flight is exactly one simulator event: its delivery callback
+/// (a sim::SmallFn) sits inline in the event's arena slot, so the memory for
+/// packets in flight is pooled per Simulator and grows with the packets in
+/// flight at one time, never with a per-link peak.
 class Link {
  public:
   Link(sim::Simulator& sim, LinkConfig config, util::Rng rng);
@@ -58,8 +62,13 @@ class Link {
   /// outages still apply, a dead link delivers nothing. `pclass` is the
   /// transport class middleboxes see: UDP blackholes drop only
   /// PacketClass::Udp traffic.
-  void transmit(std::size_t size_bytes, std::function<void()> on_deliver,
-                bool lossless = false, PacketClass pclass = PacketClass::Tcp);
+  ///
+  /// With a `next_hop`, arrival at the far end of this link is not the
+  /// delivery: the packet is handed on to `next_hop->transmit` (same size,
+  /// flags and callback) at that instant, which is how a NetPath chains an
+  /// access link in front of its wide-area link.
+  void transmit(std::size_t size_bytes, sim::SmallFn on_deliver, bool lossless = false,
+                PacketClass pclass = PacketClass::Tcp, Link* next_hop = nullptr);
 
   [[nodiscard]] const LinkStats& stats() const { return stats_; }
   [[nodiscard]] const LinkConfig& config() const { return config_; }

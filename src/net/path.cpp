@@ -23,33 +23,19 @@ void NetPath::attach_access(Link* access_up, Link* access_down) {
   access_down_ = access_down;
 }
 
-void NetPath::send_up(std::size_t size_bytes, std::function<void()> on_deliver, bool lossless,
+void NetPath::send_up(std::size_t size_bytes, sim::SmallFn on_deliver, bool lossless,
                       PacketClass pclass) {
+  // Client NIC first (when attached), then the wide-area path.
   if (access_up_ == nullptr) {
     up_->transmit(size_bytes, std::move(on_deliver), lossless, pclass);
-    return;
+  } else {
+    access_up_->transmit(size_bytes, std::move(on_deliver), lossless, pclass, up_.get());
   }
-  // Client NIC first, then the wide-area path.
-  access_up_->transmit(
-      size_bytes,
-      [this, size_bytes, cb = std::move(on_deliver), lossless, pclass]() mutable {
-        up_->transmit(size_bytes, std::move(cb), lossless, pclass);
-      },
-      lossless, pclass);
 }
 
-void NetPath::send_down(std::size_t size_bytes, std::function<void()> on_deliver,
-                        bool lossless, PacketClass pclass) {
-  if (access_down_ == nullptr) {
-    down_->transmit(size_bytes, std::move(on_deliver), lossless, pclass);
-    return;
-  }
-  down_->transmit(
-      size_bytes,
-      [this, size_bytes, cb = std::move(on_deliver), lossless, pclass]() mutable {
-        access_down_->transmit(size_bytes, std::move(cb), lossless, pclass);
-      },
-      lossless, pclass);
+void NetPath::send_down(std::size_t size_bytes, sim::SmallFn on_deliver, bool lossless,
+                        PacketClass pclass) {
+  down_->transmit(size_bytes, std::move(on_deliver), lossless, pclass, access_down_);
 }
 
 void NetPath::set_loss_rate(double loss_rate) {

@@ -1,9 +1,5 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
-#include <cstdlib>
-#include <string_view>
-
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "util/check.h"
@@ -12,285 +8,148 @@ namespace h3cdn::sim {
 
 namespace {
 
-constexpr std::size_t kMinBuckets = 32;
 constexpr std::uint32_t kSlotMask32 = 0xffffffffu;
-
-Simulator::Backend backend_from_env() {
-  const char* v = std::getenv("H3CDN_SIM_HEAP_SCHEDULER");
-  if (v != nullptr && *v != '\0' && std::string_view(v) != "0") {
-    return Simulator::Backend::Heap;
-  }
-  return Simulator::Backend::Calendar;
-}
 
 constexpr EventId make_event_id(std::uint32_t gen, std::uint32_t slot) {
   return (static_cast<EventId>(gen) << 32) | slot;
 }
 
-/// Strict (time, seq) order — the total order both cores fire events in.
-constexpr bool entry_before(TimePoint at_a, std::uint64_t seq_a, TimePoint at_b,
-                            std::uint64_t seq_b) {
-  if (at_a != at_b) return at_a < at_b;
-  return seq_a < seq_b;
-}
-
 }  // namespace
 
-Simulator::Simulator() : Simulator(backend_from_env()) {}
-
-Simulator::Simulator(Backend backend) : backend_(backend) {
-  if (backend_ == Backend::Calendar) buckets_.assign(kMinBuckets, kNilSlot);
-}
-
-// ---------------------------------------------------------------------------
-// Public API: thin dispatch over the two cores.
-// ---------------------------------------------------------------------------
-
-EventId Simulator::schedule_at(TimePoint at, SmallFn fn) {
+EventId Simulator::schedule_at(TimePoint at, EventFn fn) {
   H3CDN_EXPECTS(at >= now_);
   H3CDN_EXPECTS(static_cast<bool>(fn));
-  return backend_ == Backend::Calendar ? calendar_schedule(at, std::move(fn))
-                                       : heap_schedule(at, std::move(fn));
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    fns_[slot] = std::move(fn);
+  } else {
+    slot = static_cast<std::uint32_t>(meta_.size());
+    meta_.emplace_back();
+    fns_.push_back(std::move(fn));
+  }
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, Entry{at, next_seq_++, slot});
+  return make_event_id(meta_[slot].gen, slot);
 }
 
-EventId Simulator::schedule_in(Duration delay, SmallFn fn) {
+EventId Simulator::schedule_in(Duration delay, EventFn fn) {
   H3CDN_EXPECTS(delay >= Duration::zero());
   return schedule_at(now_ + delay, std::move(fn));
 }
 
+std::uint32_t Simulator::pending_slot(EventId id) const {
+  const std::uint32_t slot = static_cast<std::uint32_t>(id & kSlotMask32);
+  const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
+  if (slot >= meta_.size() || meta_[slot].gen != gen || meta_[slot].pos == kNotQueued) {
+    return kNotQueued;  // fired, cancelled, recycled, or unknown
+  }
+  return slot;
+}
+
 bool Simulator::cancel(EventId id) {
-  return backend_ == Backend::Calendar ? calendar_cancel(id) : heap_cancel(id);
+  const std::uint32_t slot = pending_slot(id);
+  if (slot == kNotQueued) return false;
+  remove_at(meta_[slot].pos);
+  // Move the callback out before destroying it: its captures' destructors
+  // may re-enter the simulator (cancel or schedule), which must then see a
+  // consistent heap and a recycled slot.
+  EventFn dead = std::move(fns_[slot]);
+  release_slot(slot);
+  return true;
+}
+
+bool Simulator::reschedule(EventId id, TimePoint at) {
+  H3CDN_EXPECTS(at >= now_);
+  const std::uint32_t slot = pending_slot(id);
+  if (slot == kNotQueued) return false;
+  const std::size_t pos = meta_[slot].pos;
+  const Entry moved{at, next_seq_++, slot};
+  // The fresh seq is larger than every queued one, so the key only shrinks
+  // when the time does.
+  if (at < heap_[pos].at) {
+    sift_up(pos, moved);
+  } else {
+    sift_down(pos, moved);
+  }
+  return true;
 }
 
 std::size_t Simulator::run() {
   obs::ProfileScope profile("sim.run");
-  const std::size_t n = backend_ == Backend::Calendar ? calendar_run(TimePoint::max())
-                                                      : heap_run(TimePoint::max());
+  const std::size_t n = run_loop(TimePoint::max());
   obs::count("sim.events_executed", n);
   return n;
 }
 
 std::size_t Simulator::run_until(TimePoint until) {
   obs::ProfileScope profile("sim.run");
-  const std::size_t n =
-      backend_ == Backend::Calendar ? calendar_run(until) : heap_run(until);
+  const std::size_t n = run_loop(until);
   if (now_ < until) now_ = until;
   obs::count("sim.events_executed", n);
   return n;
 }
 
-bool Simulator::idle() const {
-  return backend_ == Backend::Calendar ? live_ == 0
-                                       : heap_.size() == cancelled_.size();
-}
-
-std::size_t Simulator::pending() const {
-  return backend_ == Backend::Calendar ? live_ : heap_.size() - cancelled_.size();
-}
-
-// ---------------------------------------------------------------------------
-// Calendar core: slab arena + adaptive-width bucket ring.
-// ---------------------------------------------------------------------------
-
-std::uint32_t Simulator::acquire_slot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
-  const std::uint32_t slot = static_cast<std::uint32_t>(slots_.size());
-  slots_.emplace_back();
-  return slot;
-}
-
 void Simulator::release_slot(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.live = false;
-  s.fn.reset();
-  if (++s.gen == 0) s.gen = 1;  // keep EventId 0 forever invalid
+  SlotMeta& m = meta_[slot];
+  m.pos = kNotQueued;
+  if (++m.gen == 0) m.gen = 1;  // keep EventId 0 forever invalid
   free_slots_.push_back(slot);
 }
 
-void Simulator::calendar_link(std::uint32_t slot) {
-  std::uint32_t& head = buckets_[virtual_index(slots_[slot].at) & (buckets_.size() - 1)];
-  slots_[slot].next = head;
-  head = slot;
+void Simulator::sift_up(std::size_t pos, Entry e) {
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / kArity;
+    if (!before(e, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
+  }
+  place(pos, e);
 }
 
-void Simulator::calendar_resize(std::size_t nbuckets) {
-  std::vector<std::uint32_t> old = std::move(buckets_);
-  buckets_.assign(nbuckets, kNilSlot);
-  calendar_recalibrate();
-  base_vi_ = virtual_index(now_);
-  for (std::uint32_t head : old) {
-    while (head != kNilSlot) {
-      const std::uint32_t next = slots_[head].next;
-      calendar_link(head);
-      head = next;
+void Simulator::sift_down(std::size_t pos, Entry e) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    const std::size_t first = pos * kArity + 1;
+    if (first >= n) break;
+    const std::size_t last = first + kArity < n ? first + kArity : n;
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < last; ++c) {
+      if (before(heap_[c], heap_[best])) best = c;
     }
+    if (!before(heap_[best], e)) break;
+    place(pos, heap_[best]);
+    pos = best;
+  }
+  place(pos, e);
+}
+
+void Simulator::remove_at(std::size_t pos) {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;  // removed the tail itself
+  if (pos > 0 && before(last, heap_[(pos - 1) / kArity])) {
+    sift_up(pos, last);
+  } else {
+    sift_down(pos, last);
   }
 }
 
-void Simulator::calendar_recalibrate() {
-  // Brown's calendar-queue width heuristic: make buckets a small multiple of
-  // the mean gap between time-adjacent live events, so an average bucket
-  // holds O(1) events of the current "year". The mean gap is estimated as
-  // (sampled time span) / (live count): a 64-element sample pins down the
-  // span of the distribution well, but dividing by the SAMPLE count instead
-  // of the live count would overestimate the gap by live_/64 and collapse
-  // the whole queue into a handful of giant buckets.
-  constexpr std::size_t kSample = 64;
-  std::vector<std::int64_t> sample;
-  sample.reserve(kSample);
-  for (std::uint32_t slot = 0;
-       slot < slots_.size() && sample.size() < kSample; ++slot) {
-    if (slots_[slot].live) sample.push_back(slots_[slot].at.count());
-  }
-  if (sample.size() < 2 || live_ < 2) return;  // keep the current width
-  const auto [min_it, max_it] = std::minmax_element(sample.begin(), sample.end());
-  const std::int64_t span = *max_it - *min_it;
-  if (span == 0) return;  // all simultaneous: any width works
-  width_us_ = std::max<std::uint64_t>(
-      1, 3 * static_cast<std::uint64_t>(span) / static_cast<std::uint64_t>(live_ - 1));
-}
-
-EventId Simulator::calendar_schedule(TimePoint at, SmallFn fn) {
-  const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
-  s.at = at;
-  s.seq = next_seq_++;
-  s.live = true;
-  s.fn = std::move(fn);
-  calendar_link(slot);
-  ++live_;
-  if (live_ > 2 * buckets_.size()) calendar_resize(2 * buckets_.size());
-  return make_event_id(slots_[slot].gen, slot);
-}
-
-bool Simulator::calendar_cancel(EventId id) {
-  const std::uint32_t slot = static_cast<std::uint32_t>(id & kSlotMask32);
-  const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slots_.size()) return false;
-  Slot& s = slots_[slot];
-  if (!s.live || s.gen != gen) return false;  // fired, recycled, or unknown
-  std::uint32_t* link = &buckets_[virtual_index(s.at) & (buckets_.size() - 1)];
-  while (*link != kNilSlot) {
-    if (*link == slot) {
-      *link = s.next;
-      --live_;
-      release_slot(slot);
-      return true;
-    }
-    link = &slots_[*link].next;
-  }
-  H3CDN_ASSERT(false && "live slot missing from its bucket");
-  return false;
-}
-
-std::uint32_t Simulator::calendar_pop(TimePoint bound) {
-  if (live_ == 0) return kNilSlot;
-  const std::size_t n = buckets_.size();
-  const std::size_t mask = n - 1;
-  // Invariant: base_vi_ <= virtual_index(s.at) for every linked slot, so the
-  // first bucket (scanning forward from base_vi_) holding a slot of its own
-  // virtual index holds the global minimum.
-  std::uint64_t vi = base_vi_;
-  for (std::size_t i = 0; i < n; ++i, ++vi) {
-    std::uint32_t* head = &buckets_[vi & mask];
-    std::uint32_t* best = nullptr;  // link pointing at the best slot so far
-    for (std::uint32_t* link = head; *link != kNilSlot; link = &slots_[*link].next) {
-      const Slot& s = slots_[*link];
-      if (virtual_index(s.at) != vi) continue;  // a later wheel "year"
-      if (best == nullptr ||
-          entry_before(s.at, s.seq, slots_[*best].at, slots_[*best].seq)) {
-        best = link;
-      }
-    }
-    if (best != nullptr) {
-      const std::uint32_t slot = *best;
-      if (slots_[slot].at > bound) return kNilSlot;
-      *best = slots_[slot].next;  // unlink
-      --live_;
-      base_vi_ = vi;
-      return slot;
-    }
-  }
-  // Sparse region: nothing within one full wheel rotation. Direct-search the
-  // global minimum and jump the wheel to it.
-  std::uint32_t* best = nullptr;
-  for (std::size_t b = 0; b < n; ++b) {
-    for (std::uint32_t* link = &buckets_[b]; *link != kNilSlot;
-         link = &slots_[*link].next) {
-      const Slot& s = slots_[*link];
-      if (best == nullptr ||
-          entry_before(s.at, s.seq, slots_[*best].at, slots_[*best].seq)) {
-        best = link;
-      }
-    }
-  }
-  H3CDN_ASSERT(best != nullptr);
-  const std::uint32_t slot = *best;
-  if (slots_[slot].at > bound) return kNilSlot;
-  *best = slots_[slot].next;
-  --live_;
-  base_vi_ = virtual_index(slots_[slot].at);
-  return slot;
-}
-
-std::size_t Simulator::calendar_run(TimePoint until) {
+std::size_t Simulator::run_loop(TimePoint until) {
   std::size_t n = 0;
-  for (std::uint32_t slot; (slot = calendar_pop(until)) != kNilSlot;) {
-    Slot& s = slots_[slot];
-    H3CDN_ASSERT(s.live);
-    H3CDN_ASSERT(s.at >= now_);
-    SmallFn fn = std::move(s.fn);  // move out: the slot is recycled before the
-    now_ = s.at;                   // callback runs, so it can schedule freely
-    release_slot(slot);
+  while (!heap_.empty() && heap_.front().at <= until) {
+    const Entry top = heap_.front();
+    remove_at(0);
+    H3CDN_ASSERT(top.at >= now_);
+    // Move the callback out and recycle the slot before running it, so the
+    // callback can schedule (and grow the arena) freely.
+    EventFn fn = std::move(fns_[top.slot]);
+    release_slot(top.slot);
+    now_ = top.at;
     ++executed_;
     ++n;
     fn();
-    if (live_ * 8 < buckets_.size() && buckets_.size() > kMinBuckets) {
-      calendar_resize(buckets_.size() / 2);
-    }
-  }
-  return n;
-}
-
-// ---------------------------------------------------------------------------
-// Heap core: the reference binary-heap scheduler (pre-calendar structure:
-// priority queue + pending/cancelled id sets), kept for A/B verification and
-// as the microbench baseline.
-// ---------------------------------------------------------------------------
-
-EventId Simulator::heap_schedule(TimePoint at, SmallFn fn) {
-  const EventId id = next_heap_id_++;
-  heap_.push(HeapEvent{at, next_seq_++, id, std::move(fn)});
-  pending_ids_.insert(id);
-  return id;
-}
-
-bool Simulator::heap_cancel(EventId id) {
-  if (pending_ids_.find(id) == pending_ids_.end()) return false;  // fired or unknown
-  return cancelled_.insert(id).second;
-}
-
-std::size_t Simulator::heap_run(TimePoint until) {
-  std::size_t n = 0;
-  while (!heap_.empty() && heap_.top().at <= until) {
-    // priority_queue has no mutable top(); moving out is safe because pop()
-    // only needs the element to be in a valid (moved-from) state.
-    HeapEvent ev = std::move(const_cast<HeapEvent&>(heap_.top()));
-    heap_.pop();
-    pending_ids_.erase(ev.id);
-    if (auto it = cancelled_.find(ev.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    H3CDN_ASSERT(ev.at >= now_);
-    now_ = ev.at;
-    ++executed_;
-    ++n;
-    ev.fn();
   }
   return n;
 }

@@ -5,26 +5,15 @@
 // order they were scheduled — this total order is what makes whole-study runs
 // bit-reproducible.
 //
-// Two interchangeable scheduler cores implement that contract
-// (docs/SCALING.md):
-//
-//  * Calendar (default): a calendar queue — a ring of time buckets whose
-//    width adapts to the observed event density — over a slab/free-list
-//    event arena. Buckets are intrusive chains threaded through the arena
-//    slots; the callback lives inline in its slot via SmallFn, so
-//    steady-state scheduling performs no per-event heap allocation and pops
-//    are O(1) amortized instead of O(log n).
-//  * Heap: the reference binary-heap scheduler (the pre-calendar
-//    implementation, kept verbatim in spirit: priority queue plus
-//    pending/cancelled id sets). Selected with the H3CDN_SIM_HEAP_SCHEDULER=1
-//    environment variable or an explicit constructor argument; used for A/B
-//    verification — both cores fire events in the identical total order —
-//    and as the baseline for the scheduler microbench.
+// The scheduler core is an indexed 4-ary min-heap of (at, seq, slot) entries
+// over a slab/free-list event arena (docs/SCALING.md §1–2). Each arena slot
+// holds its callback inline (EventFn) and its current heap position, so
+// cancel() and reschedule() are O(log n) in-place heap repairs and pending()
+// is simply the heap size. Steady-state scheduling performs no heap
+// allocation.
 #pragma once
 
 #include <cstdint>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/small_fn.h"
@@ -32,38 +21,37 @@
 
 namespace h3cdn::sim {
 
-/// Handle for a scheduled event; usable to cancel it before it fires.
-/// Calendar core: packs (generation << 32 | arena slot); never zero.
+/// Handle for a scheduled event; usable to cancel or move it before it fires.
+/// Packs (generation << 32 | arena slot); never zero.
 using EventId = std::uint64_t;
 
 /// Deterministic event-queue simulator with a microsecond virtual clock.
 class Simulator {
  public:
-  enum class Backend { Calendar, Heap };
-
-  /// Backend from the environment: Heap when H3CDN_SIM_HEAP_SCHEDULER is set
-  /// to a non-empty, non-"0" value, Calendar otherwise.
-  Simulator();
-  explicit Simulator(Backend backend);
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  [[nodiscard]] Backend backend() const { return backend_; }
 
   /// Current virtual time.
   [[nodiscard]] TimePoint now() const { return now_; }
 
   /// Schedules `fn` to run at absolute virtual time `at` (>= now()).
-  /// Accepts any void() callable (stored inline for captures <= 48 bytes).
-  EventId schedule_at(TimePoint at, SmallFn fn);
+  /// Accepts any void() callable (stored inline for captures <= 96 bytes).
+  EventId schedule_at(TimePoint at, EventFn fn);
 
   /// Schedules `fn` to run `delay` (>= 0) after now().
-  EventId schedule_in(Duration delay, SmallFn fn);
+  EventId schedule_in(Duration delay, EventFn fn);
 
   /// Cancels a pending event. Returns false if it already fired or was
-  /// cancelled. Calendar core: removes the entry and recycles its arena slot
-  /// immediately, so pending() stays exact with no shadow bookkeeping.
+  /// cancelled. The arena slot is recycled immediately.
   bool cancel(EventId id);
+
+  /// Moves a pending event to `at` (>= now()), keeping its callback and its
+  /// id. The event takes a fresh sequence number, so it fires exactly where
+  /// cancel(id) followed by schedule_at(at, same callback) would put it.
+  /// Returns false (and changes nothing) if the event already fired or was
+  /// cancelled.
+  bool reschedule(EventId id, TimePoint at);
 
   /// Runs until the queue drains. Returns the number of events executed.
   std::size_t run();
@@ -71,83 +59,58 @@ class Simulator {
   /// Runs events with time <= until; leaves later events queued.
   std::size_t run_until(TimePoint until);
 
-  /// True if no runnable (non-cancelled) events remain.
-  [[nodiscard]] bool idle() const;
+  /// True if no pending events remain.
+  [[nodiscard]] bool idle() const { return heap_.empty(); }
 
   /// Number of events executed since construction.
   [[nodiscard]] std::size_t events_executed() const { return executed_; }
 
-  /// Number of currently pending (non-cancelled) events. Exact under
-  /// arbitrary schedule/cancel/pop interleavings.
-  [[nodiscard]] std::size_t pending() const;
+  /// Number of currently pending (scheduled, not fired, not cancelled)
+  /// events. Exact under arbitrary schedule/cancel/reschedule/pop
+  /// interleavings.
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
 
  private:
-  // --- calendar core: event arena -----------------------------------------
-  // One slot per live event. Slots are recycled through a free list; the
-  // generation counter in the EventId makes stale handles (fired or
-  // cancelled events) fail cancel() without any side table. Each bucket of
-  // the calendar is an intrusive singly-linked chain threaded through the
-  // slots (`next`), so steady-state schedule/cancel/pop never allocates.
-  struct Slot {
+  // One heap entry per pending event. The key (at, seq) lives here, next to
+  // the other keys, so sifting never touches the arena.
+  struct Entry {
     TimePoint at{0};
     std::uint64_t seq = 0;
-    std::uint32_t gen = 1;
-    std::uint32_t next = kNilSlot;  // next slot in this event's bucket chain
-    bool live = false;
-    SmallFn fn;
+    std::uint32_t slot = 0;
   };
-  static constexpr std::uint32_t kNilSlot = 0xffffffffu;
+  // Per-slot bookkeeping, kept apart from the (much larger) callbacks so a
+  // sift's position updates stay within a few cache lines. The generation
+  // tag in the EventId makes stale handles (fired, cancelled, recycled)
+  // fail cancel()/reschedule() without any side table.
+  struct SlotMeta {
+    std::uint32_t pos = kNotQueued;  // index in heap_, or kNotQueued
+    std::uint32_t gen = 1;
+  };
+  static constexpr std::uint32_t kNotQueued = 0xffffffffu;
+  static constexpr std::size_t kArity = 4;
 
-  std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t slot);
-  void calendar_link(std::uint32_t slot);
-  /// Unlinks and returns the earliest (at, seq) live slot with at <= bound;
-  /// kNilSlot if none qualifies.
-  std::uint32_t calendar_pop(TimePoint bound);
-  void calendar_resize(std::size_t nbuckets);
-  /// Re-derives the bucket width from the live event spread (Brown's
-  /// calendar-queue heuristic) and redistributes all entries.
-  void calendar_recalibrate();
-  [[nodiscard]] std::uint64_t virtual_index(TimePoint at) const {
-    return static_cast<std::uint64_t>(at.count()) / width_us_;
+  /// Strict (time, seq) order: the total order events fire in.
+  static bool before(const Entry& a, const Entry& b) {
+    return a.at < b.at || (a.at == b.at && a.seq < b.seq);
   }
 
-  EventId calendar_schedule(TimePoint at, SmallFn fn);
-  bool calendar_cancel(EventId id);
-  std::size_t calendar_run(TimePoint until);
+  /// Slot index of a pending event, or kNotQueued for a stale id.
+  [[nodiscard]] std::uint32_t pending_slot(EventId id) const;
+  void release_slot(std::uint32_t slot);
+  void place(std::size_t pos, const Entry& e) {
+    heap_[pos] = e;
+    meta_[e.slot].pos = static_cast<std::uint32_t>(pos);
+  }
+  void sift_up(std::size_t pos, Entry e);
+  void sift_down(std::size_t pos, Entry e);
+  /// Removes the entry at heap position `pos`, restoring the heap property.
+  void remove_at(std::size_t pos);
+  std::size_t run_loop(TimePoint until);
 
-  std::vector<Slot> slots_;
+  std::vector<Entry> heap_;
+  std::vector<SlotMeta> meta_;
+  std::vector<EventFn> fns_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<std::uint32_t> buckets_;  // chain head per bucket (kNilSlot = empty)
-  std::uint64_t width_us_ = 1024;  // bucket width, microseconds
-  std::uint64_t base_vi_ = 0;      // virtual bucket index of the current time
-  std::size_t live_ = 0;           // pending (non-cancelled) events
-
-  // --- heap core (reference) ----------------------------------------------
-  struct HeapEvent {
-    TimePoint at{0};
-    std::uint64_t seq = 0;
-    EventId id = 0;
-    SmallFn fn;
-  };
-  struct HeapLater {
-    bool operator()(const HeapEvent& a, const HeapEvent& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  EventId heap_schedule(TimePoint at, SmallFn fn);
-  bool heap_cancel(EventId id);
-  std::size_t heap_run(TimePoint until);
-
-  std::priority_queue<HeapEvent, std::vector<HeapEvent>, HeapLater> heap_;
-  std::unordered_set<EventId> pending_ids_;
-  std::unordered_set<EventId> cancelled_;
-  EventId next_heap_id_ = 1;
-
-  // --- shared --------------------------------------------------------------
-  Backend backend_ = Backend::Calendar;
   TimePoint now_{0};
   std::uint64_t next_seq_ = 0;
   std::size_t executed_ = 0;

@@ -1,12 +1,19 @@
 // Move-only type-erased callable with inline small-buffer storage.
 //
-// Simulator events are the hottest allocation site in the whole system: a
-// million-client sweep schedules tens of millions of callbacks, and
-// std::function heap-allocates any capture list over ~16 bytes (our typical
-// event captures `this` plus two or three scalars, which is just past that
-// edge). SmallFn widens the inline buffer so every event callback in the
-// codebase is stored in place inside its arena slot — no per-event heap
-// allocation — and falls back to the heap only for oversized captures.
+// Simulator events and packet deliveries are the hottest allocation sites in
+// the whole system: a study pass schedules tens of millions of callbacks, and
+// std::function heap-allocates any capture list over ~16 bytes. BasicSmallFn
+// keeps the callable in place inside its owner and falls back to the heap only
+// for oversized captures.
+//
+// Two widths are used:
+//  * SmallFn (64 bytes inline) is the callback type of the network and
+//    transport layers. The largest hot capture, a transport data delivery
+//    (connection shared_ptr, direction, packet number, 32-byte chunk), is
+//    exactly 64 bytes.
+//  * EventFn (96 bytes inline) is what a Simulator slot stores. It holds a
+//    whole SmallFn plus a next-hop forwarding header (net::Link), so a packet
+//    crossing two links never leaves the slot arena.
 #pragma once
 
 #include <cstddef>
@@ -17,20 +24,18 @@
 
 namespace h3cdn::sim {
 
-class SmallFn {
+template <std::size_t InlineBytes>
+class BasicSmallFn {
  public:
-  /// Inline capacity: covers every event lambda in the tree (the largest
-  /// captures `this` + index + id + TimePoint = 28 bytes) with headroom for
-  /// a by-value std::function capture (32 bytes on libstdc++).
-  static constexpr std::size_t kInlineBytes = 48;
+  static constexpr std::size_t kInlineBytes = InlineBytes;
 
-  SmallFn() = default;
+  BasicSmallFn() = default;
 
   template <typename F,
             typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, SmallFn> &&
+                !std::is_same_v<std::decay_t<F>, BasicSmallFn> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  SmallFn(F&& f) {  // NOLINT(google-explicit-constructor): mirrors std::function
+  BasicSmallFn(F&& f) {  // NOLINT(google-explicit-constructor): mirrors std::function
     using Fn = std::decay_t<F>;
     if constexpr (fits_inline<Fn>()) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
@@ -42,9 +47,9 @@ class SmallFn {
     }
   }
 
-  SmallFn(SmallFn&& other) noexcept { move_from(other); }
+  BasicSmallFn(BasicSmallFn&& other) noexcept { move_from(other); }
 
-  SmallFn& operator=(SmallFn&& other) noexcept {
+  BasicSmallFn& operator=(BasicSmallFn&& other) noexcept {
     if (this != &other) {
       reset();
       move_from(other);
@@ -52,10 +57,10 @@ class SmallFn {
     return *this;
   }
 
-  SmallFn(const SmallFn&) = delete;
-  SmallFn& operator=(const SmallFn&) = delete;
+  BasicSmallFn(const BasicSmallFn&) = delete;
+  BasicSmallFn& operator=(const BasicSmallFn&) = delete;
 
-  ~SmallFn() { reset(); }
+  ~BasicSmallFn() { reset(); }
 
   /// True when a callable is held.
   explicit operator bool() const { return ops_ != nullptr; }
@@ -70,18 +75,19 @@ class SmallFn {
     }
   }
 
+  /// Whether a callable of type F is stored without a heap allocation.
+  template <typename F>
+  static constexpr bool fits_inline() {
+    return sizeof(F) <= kInlineBytes && alignof(F) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<F>;
+  }
+
  private:
   struct Ops {
     void (*invoke)(void*);
     void (*relocate)(void* dst, void* src) noexcept;  // move dst <- src, destroy src
     void (*destroy)(void*) noexcept;
   };
-
-  template <typename Fn>
-  static constexpr bool fits_inline() {
-    return sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<Fn>;
-  }
 
   template <typename Fn>
   struct InlineOps {
@@ -110,7 +116,7 @@ class SmallFn {
     static constexpr Ops ops{&invoke, &relocate, &destroy};
   };
 
-  void move_from(SmallFn& other) noexcept {
+  void move_from(BasicSmallFn& other) noexcept {
     ops_ = other.ops_;
     if (ops_ != nullptr) {
       ops_->relocate(buf_, other.buf_);
@@ -118,8 +124,11 @@ class SmallFn {
     }
   }
 
-  const Ops* ops_ = nullptr;
   alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
+  const Ops* ops_ = nullptr;
 };
+
+using SmallFn = BasicSmallFn<64>;
+using EventFn = BasicSmallFn<96>;
 
 }  // namespace h3cdn::sim

@@ -447,6 +447,8 @@ void Connection::send_chunk(Dir d, const Chunk& chunk, bool is_retx) {
 
   auto self = shared_from_this();
   auto deliver = [self, d, num, chunk] { self->on_packet_arrive(d, num, chunk); };
+  static_assert(sim::SmallFn::fits_inline<decltype(deliver)>(),
+                "a data packet's delivery must not heap-allocate");
   if (d == Dir::Up) {
     path_.send_up(chunk.len + overhead(), std::move(deliver), /*lossless=*/false, pclass());
   } else {
@@ -916,18 +918,20 @@ void Connection::declare_lost(Dir d, std::uint64_t packet_num, bool from_rto) {
 
 void Connection::arm_rto(Dir d) {
   auto& s = dir(d);
-  if (s.rto_timer != 0) {
-    sim_.cancel(s.rto_timer);
+  if (s.in_flight.empty() || closed_) {
+    if (s.rto_timer != 0) sim_.cancel(s.rto_timer);
     s.rto_timer = 0;
+    return;
   }
-  if (s.in_flight.empty() || closed_) return;
   // in_flight is keyed by packet number; retransmissions get fresh (larger)
   // numbers, so the first entry is the oldest outstanding transmission.
   const TimePoint earliest = s.in_flight.begin()->second.sent;
   TimePoint fire_at = earliest + s.rtt.rto();
   if (fire_at <= sim_.now()) fire_at = sim_.now() + usec(1);
-  auto self = shared_from_this();
-  s.rto_timer = sim_.schedule_at(fire_at, [self, d] { self->handle_rto(d); });
+  // Re-arming moves the pending timer in place: the same (time, seq) order
+  // as cancel + schedule, without a new callback.
+  if (s.rto_timer != 0 && sim_.reschedule(s.rto_timer, fire_at)) return;
+  s.rto_timer = sim_.schedule_at(fire_at, [self = shared_from_this(), d] { self->handle_rto(d); });
 }
 
 void Connection::handle_rto(Dir d) {

@@ -292,6 +292,64 @@ TEST(PoolFallback, RetryBudgetExhaustionCompletesEntriesAsFailed) {
   EXPECT_EQ(pool.stats().requests_rescued, 0u);
 }
 
+// Regression: failing an orphan runs its completion callback, and the last
+// entry of a page finishes the visit, which drops the page's pool. The
+// orphan loop of on_session_dead must stop there instead of reading the freed
+// pool for the orphans still left (a heap-use-after-free under ASan).
+TEST(PoolFallback, PageFinishedByFirstFailedOrphanStopsTheOrphanLoop) {
+  PoolFixture f;
+  f.add_origin("cdn.example", /*h3=*/true);
+  f.paths["cdn.example"]->add_outage(
+      net::Outage{msec(40), sec(600), net::OutageKind::UdpBlackhole});
+
+  http::PoolConfig config;
+  config.h3_enabled = true;
+  config.max_request_retries = 1;  // every orphan is past its budget
+  auto pool = std::make_unique<http::ConnectionPool>(f.sim, config, f.resolver(), nullptr,
+                                                     util::Rng(77));
+  std::vector<EntryTimings> done;
+  for (int i = 0; i < 4; ++i) {
+    pool->fetch(f.request("cdn.example"), [&](const EntryTimings& t) {
+      done.push_back(t);
+      pool.reset();  // the first settled entry "finishes the page"
+    });
+  }
+  f.sim.run();
+
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_TRUE(done.front().failed);
+  EXPECT_EQ(pool, nullptr);
+}
+
+// The same hazard on the refusal path: a refused dial whose orphans are all
+// out of attempts fails them in a loop of its own.
+TEST(PoolFallback, PageFinishedByFirstRefusedOrphanStopsTheOrphanLoop) {
+  PoolFixture f;
+  f.add_origin("edge.example", /*h3=*/true);
+  f.origins["edge.example"].handshake_admission =
+      [](TimePoint, TransportKind, HandshakeMode) -> std::optional<Duration> {
+    return std::nullopt;  // always at capacity
+  };
+
+  http::PoolConfig config;
+  config.h3_enabled = true;
+  config.max_request_retries = 0;  // queued orphans (no dispatch yet) fail at once
+  auto pool = std::make_unique<http::ConnectionPool>(f.sim, config, f.resolver(), nullptr,
+                                                     util::Rng(77));
+  std::vector<EntryTimings> done;
+  for (int i = 0; i < 4; ++i) {
+    pool->fetch(f.request("edge.example"), [&](const EntryTimings& t) {
+      done.push_back(t);
+      pool.reset();
+    });
+  }
+  f.sim.run();
+
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_TRUE(done.front().failed);
+  EXPECT_EQ(pool, nullptr);
+}
+
 TEST(PoolFallback, BrokenMarkExpiryTriggersH3ReProbe) {
   PoolFixture f;
   f.add_origin("cdn.example", /*h3=*/true);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "net/path.h"
 
 namespace h3cdn::net {
@@ -203,6 +207,92 @@ TEST(NetPath, AccessLossAppliesToChainedPackets) {
   path.send_up(100, [&] { ++delivered; });
   sim.run();
   EXPECT_EQ(delivered, 0);
+}
+
+// A two-hop NetPath hands each packet from the access link to the path link
+// at its access-link arrival. That must reproduce, packet for packet, the
+// explicit chain "transmit on hop 1; on arrival, transmit on hop 2": the same
+// FIFO delivery order, the same delivery instants, and the same per-link loss
+// and jitter draws.
+TEST(NetPath, TwoHopDeliveryKeepsFifoAndPerLinkDrawOrder) {
+  PathConfig pc;
+  pc.rtt = msec(20);
+  pc.bandwidth_bps = 20e6;
+  pc.loss_rate = 0.1;
+  pc.jitter_max = usec(300);
+  LinkConfig ac;
+  ac.latency = msec(2);
+  ac.bandwidth_bps = 50e6;
+  ac.loss_rate = 0.05;
+  ac.jitter_max = usec(200);
+  constexpr int kPackets = 400;
+
+  struct Run {
+    std::vector<int> order;
+    std::vector<std::int64_t> at;
+    LinkStats access;
+    LinkStats wide;
+  };
+
+  Run chained;
+  {
+    sim::Simulator sim;
+    NetPath path(sim, pc, util::Rng(11));
+    Link access_up(sim, ac, util::Rng(12));
+    Link access_down(sim, ac, util::Rng(13));
+    path.attach_access(&access_up, &access_down);
+    for (int i = 0; i < kPackets; ++i) {
+      // Interleave bursts with idle gaps so both serializers queue and drain.
+      sim.schedule_at(usec(i * 150 + (i / 16) * 4000), [&, i] {
+        path.send_up(1200, [&, i] {
+          chained.order.push_back(i);
+          chained.at.push_back(sim.now().count());
+        });
+      });
+    }
+    sim.run();
+    chained.access = access_up.stats();
+    chained.wide = path.uplink().stats();
+  }
+
+  Run manual;
+  {
+    sim::Simulator sim;
+    // The path's uplink exactly as NetPath builds it: half the RTT of
+    // latency, the "up" fork of the path Rng.
+    LinkConfig wc;
+    wc.latency = Duration{pc.rtt.count() / 2};
+    wc.bandwidth_bps = pc.bandwidth_bps;
+    wc.loss_rate = pc.loss_rate;
+    wc.jitter_max = pc.jitter_max;
+    Link wide(sim, wc, util::Rng(11).fork("up"));
+    Link access(sim, ac, util::Rng(12));
+    for (int i = 0; i < kPackets; ++i) {
+      sim.schedule_at(usec(i * 150 + (i / 16) * 4000), [&, i] {
+        access.transmit(1200, [&, i] {
+          wide.transmit(1200, [&, i] {
+            manual.order.push_back(i);
+            manual.at.push_back(sim.now().count());
+          });
+        });
+      });
+    }
+    sim.run();
+    manual.access = access.stats();
+    manual.wide = wide.stats();
+  }
+
+  ASSERT_FALSE(chained.order.empty());
+  EXPECT_TRUE(std::is_sorted(chained.order.begin(), chained.order.end()));  // FIFO
+  EXPECT_TRUE(std::is_sorted(chained.at.begin(), chained.at.end()));
+  EXPECT_EQ(chained.order, manual.order);
+  EXPECT_EQ(chained.at, manual.at);
+  EXPECT_EQ(chained.access.packets_dropped, manual.access.packets_dropped);
+  EXPECT_EQ(chained.wide.packets_dropped, manual.wide.packets_dropped);
+  EXPECT_GT(chained.access.packets_dropped, 0u);
+  EXPECT_GT(chained.wide.packets_dropped, 0u);
+  // Every packet the access link delivered was offered to the wide link.
+  EXPECT_EQ(chained.wide.packets_offered, chained.access.packets_delivered);
 }
 
 }  // namespace
