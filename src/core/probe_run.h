@@ -12,7 +12,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "browser/environment.h"
@@ -20,8 +19,6 @@
 #include "core/study.h"
 
 namespace h3cdn::core {
-
-struct ShardResult;
 
 /// Inputs of one shard. Everything is copied or shared-immutable: `config`
 /// and `workload` must outlive run() but are only read.
@@ -32,25 +29,13 @@ struct ProbeRunTask {
   int probe = 0;
   bool h3_enabled = false;
   std::size_t site_count = 0;
-  /// Canonical shard position (vantage-major, then probe, then H2 before
-  /// H3); the merge key that makes parallel output order-independent.
-  std::size_t shard_index = 0;
-  /// Per-shard observability slice (ObservabilityConfig::per_shard of the
-  /// run-level config); nullopt when observability is disabled.
-  std::optional<ObservabilityConfig> observability;
 
-  /// Executes the shard on the calling thread. Installs the shard's own
-  /// metrics registry/profiler on this thread for the duration (thread-local
-  /// sinks), so concurrent shards never contend.
-  [[nodiscard]] ShardResult run() const;
-};
-
-/// What a shard hands back to the merge step.
-struct ShardResult {
-  /// Visits in site order (the shard's deterministic internal order).
-  std::vector<PageVisitRecord> visits;
-  /// The shard's private sink; null when observability is disabled.
-  std::unique_ptr<RunObservability> observability;
+  /// Executes the shard on the calling thread and returns its visits in site
+  /// order. `sink` is the shard's observability slice (null when
+  /// observability is off); core::sweep has already installed its metrics,
+  /// timeline and profiler on this thread, and run() adds the shard's traces
+  /// and waterfalls to it.
+  [[nodiscard]] std::vector<PageVisitRecord> run(RunObservability* sink) const;
 };
 
 }  // namespace h3cdn::core

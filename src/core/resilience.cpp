@@ -1,15 +1,14 @@
 #include "core/resilience.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "browser/browser.h"
+#include "core/sweep.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "util/check.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 
 namespace h3cdn::core {
 
@@ -29,16 +28,11 @@ struct VisitOutcome {
 // pages and an absolute-time outage would only ever hit the first one.
 // Caches are pre-warmed, matching the paper's measured-visit methodology.
 //
-// `metrics` is this visit's own registry handle (may be null). It is
-// installed thread-locally here, on whatever thread executes the visit —
-// never around a batch of visits on the caller's thread — so the drop-reason
-// counters land in the right cell even when visits of several cells are in
-// flight on the pool at once.
+// Whatever sinks core::sweep installed on the executing thread record the
+// visit, so the drop-reason counters land in the right row's slice.
 VisitOutcome run_visit(const web::Workload& workload, const web::WebPage& page,
                        const browser::VantageConfig& vantage, bool h3_enabled,
-                       const ResilienceConfig& config, std::uint64_t page_salt,
-                       obs::MetricsRegistry* metrics) {
-  obs::ScopedMetrics scoped_metrics(metrics);
+                       const ResilienceConfig& config, std::uint64_t page_salt) {
   sim::Simulator sim;
   // Same env seed across fault conditions and protocol modes: paths, loss
   // and jitter realizations pair exactly, so condition deltas isolate the
@@ -65,15 +59,6 @@ VisitOutcome run_visit(const web::Workload& workload, const web::WebPage& page,
   return out;
 }
 
-/// Per-site shard of one sweep cell: the visit outcomes plus the metrics the
-/// visits recorded. Sites execute in any order on the pool; the cell folds
-/// shards in site order, so cell rows are independent of scheduling.
-struct SiteShard {
-  VisitOutcome h2;
-  VisitOutcome h3;
-  std::unique_ptr<obs::MetricsRegistry> metrics;
-};
-
 }  // namespace
 
 ResilienceResult run_resilience(const ResilienceConfig& config) {
@@ -83,11 +68,6 @@ ResilienceResult run_resilience(const ResilienceConfig& config) {
   wc.site_count = std::max(wc.site_count, config.sites);
   const web::Workload workload = web::generate_workload(wc);
   const std::size_t n_sites = std::min(config.sites, workload.sites.size());
-
-  std::size_t jobs = config.jobs == 0 ? util::ThreadPool::default_jobs()
-                                      : static_cast<std::size_t>(config.jobs);
-  jobs = std::min(jobs, n_sites);
-  util::ThreadPool pool(jobs);
 
   ResilienceResult result;
 
@@ -103,30 +83,28 @@ ResilienceResult run_resilience(const ResilienceConfig& config) {
       vantage.fault_profile.gilbert_elliott =
           bursty ? net::GilbertElliottConfig::from_average(rate, config.mean_burst_packets)
                  : net::GilbertElliottConfig::bernoulli(rate);
-      // One shard per site, each with its own registry handle: net::Link
-      // reports its drop-reason counters into the visit's registry, so the
-      // row reads drops from the same source of truth as every other
-      // metrics consumer instead of re-aggregating LinkStats by hand.
-      std::vector<SiteShard> shards(n_sites);
-      pool.parallel_for(n_sites, [&](std::size_t site) {
-        SiteShard& shard = shards[site];
-        shard.metrics = std::make_unique<obs::MetricsRegistry>();
-        const web::WebPage& page = workload.sites[site].page;
-        shard.h2 = run_visit(workload, page, vantage, false, config, site, shard.metrics.get());
-        shard.h3 = run_visit(workload, page, vantage, true, config, site, shard.metrics.get());
-      });
+      // One cell per site. net::Link reports its drop-reason counters into
+      // the site's slice, and the slices fold into this row's sink, so the
+      // row reads drops from the same source of truth as every other metrics
+      // consumer instead of re-aggregating LinkStats by hand.
+      RunObservability row_sink;
+      const auto visits =
+          sweep(n_sites, config.jobs, &row_sink, [&](std::size_t site, RunObservability*) {
+            const web::WebPage& page = workload.sites[site].page;
+            return std::pair{run_visit(workload, page, vantage, false, config, site),
+                             run_visit(workload, page, vantage, true, config, site)};
+          });
       std::vector<double> h2_plts;
       std::vector<double> h3_plts;
-      obs::MetricsRegistry cell_metrics;
-      for (const SiteShard& shard : shards) {
-        h2_plts.push_back(to_ms(shard.h2.plt));
-        h3_plts.push_back(to_ms(shard.h3.plt));
-        cell_metrics.merge_from(*shard.metrics);
+      for (const auto& [h2, h3] : visits) {
+        h2_plts.push_back(to_ms(h2.plt));
+        h3_plts.push_back(to_ms(h3.plt));
       }
-      row.packets_offered = cell_metrics.counter("net.link.packets_offered").value();
-      row.packets_dropped = cell_metrics.counter("net.link.packets_dropped").value();
-      row.dropped_bernoulli = cell_metrics.counter("net.link.dropped.bernoulli").value();
-      row.dropped_burst = cell_metrics.counter("net.link.dropped.burst").value();
+      obs::MetricsRegistry& metrics = row_sink.metrics();
+      row.packets_offered = metrics.counter("net.link.packets_offered").value();
+      row.packets_dropped = metrics.counter("net.link.packets_dropped").value();
+      row.dropped_bernoulli = metrics.counter("net.link.dropped.bernoulli").value();
+      row.dropped_burst = metrics.counter("net.link.dropped.burst").value();
       row.pages = n_sites;
       row.h2_mean_plt_ms = util::mean(h2_plts);
       row.h2_p95_plt_ms = util::quantile(h2_plts, 0.95);
@@ -140,13 +118,12 @@ ResilienceResult run_resilience(const ResilienceConfig& config) {
   // Fault-free paired baseline first: an outage-only profile makes no Rng
   // draws, so pages the outage never touches replay the baseline byte for
   // byte and their recovery penalty is exactly zero. Baseline visits record
-  // no metrics (null registry), exactly like the sequential path did.
-  std::vector<double> baseline_plt_ms(n_sites, 0.0);
-  pool.parallel_for(n_sites, [&](std::size_t site) {
-    const web::WebPage& page = workload.sites[site].page;
-    baseline_plt_ms[site] =
-        to_ms(run_visit(workload, page, config.vantage, true, config, site, nullptr).plt);
-  });
+  // into no sink.
+  const std::vector<double> baseline_plt_ms =
+      sweep(n_sites, config.jobs, nullptr, [&](std::size_t site, RunObservability*) {
+        const web::WebPage& page = workload.sites[site].page;
+        return to_ms(run_visit(workload, page, config.vantage, true, config, site).plt);
+      });
 
   for (Duration outage_duration : config.outage_durations) {
     OutageRow row;
@@ -155,18 +132,15 @@ ResilienceResult run_resilience(const ResilienceConfig& config) {
     browser::VantageConfig vantage = config.vantage;
     vantage.fault_profile.outages.push_back(
         net::Outage{config.outage_start, outage_duration, config.outage_kind});
-    std::vector<SiteShard> shards(n_sites);
-    pool.parallel_for(n_sites, [&](std::size_t site) {
-      SiteShard& shard = shards[site];
-      shard.metrics = std::make_unique<obs::MetricsRegistry>();
-      const web::WebPage& page = workload.sites[site].page;
-      shard.h3 = run_visit(workload, page, vantage, true, config, site, shard.metrics.get());
-    });
+    RunObservability row_sink;
+    const std::vector<VisitOutcome> visits =
+        sweep(n_sites, config.jobs, &row_sink, [&](std::size_t site, RunObservability*) {
+          return run_visit(workload, workload.sites[site].page, vantage, true, config, site);
+        });
     std::size_t pages_with_fallback = 0;
     std::vector<double> penalties_ms;
-    obs::MetricsRegistry cell_metrics;
     for (std::size_t site = 0; site < n_sites; ++site) {
-      const VisitOutcome& v = shards[site].h3;
+      const VisitOutcome& v = visits[site];
       row.connection_deaths += v.connection_deaths;
       row.h3_fallbacks += v.h3_fallbacks;
       row.requests_rescued += v.requests_rescued;
@@ -174,11 +148,11 @@ ResilienceResult run_resilience(const ResilienceConfig& config) {
       if (v.h3_fallbacks > 0) ++pages_with_fallback;
       const double penalty = to_ms(v.plt) - baseline_plt_ms[site];
       if (penalty > 0.0) penalties_ms.push_back(penalty);
-      cell_metrics.merge_from(*shards[site].metrics);
     }
-    row.packets_offered = cell_metrics.counter("net.link.packets_offered").value();
-    row.packets_dropped = cell_metrics.counter("net.link.packets_dropped").value();
-    row.dropped_outage = cell_metrics.counter("net.link.dropped.outage").value();
+    obs::MetricsRegistry& metrics = row_sink.metrics();
+    row.packets_offered = metrics.counter("net.link.packets_offered").value();
+    row.packets_dropped = metrics.counter("net.link.packets_dropped").value();
+    row.dropped_outage = metrics.counter("net.link.dropped.outage").value();
     row.fallback_page_rate =
         n_sites == 0 ? 0.0 : static_cast<double>(pages_with_fallback) / n_sites;
     if (!penalties_ms.empty()) {

@@ -18,10 +18,11 @@
 //     so the delta isolates the outage's cost exactly).
 //
 // Fully deterministic: the same config produces byte-identical fault
-// schedules, metrics, and row ordering — at any `jobs` setting. Visits run
-// as independent shards on a util::ThreadPool; each records into its own
-// registry (installed thread-locally for the duration of the visit, never
-// a process-global one), and registries merge in site order afterwards.
+// schedules, metrics, and row ordering — at any `jobs` setting. Every row is
+// one core::sweep over the sites: each site's visits record into their own
+// observability slice (installed thread-locally for the duration of the
+// visit, never a process-global one), and the slices fold in site order into
+// a row-local sink the row reads its drop counters from.
 #pragma once
 
 #include <cstdint>
@@ -39,10 +40,10 @@ struct ResilienceConfig {
   std::size_t sites = 16;      // truncates the generated workload
   std::uint64_t seed = 7;
   // Worker threads for the per-site visit fan-out (0 = hardware
-  // concurrency). Every visit is its own shard — own Simulator, Environment
-  // and metrics registry, installed thread-locally on whichever worker runs
-  // it — and per-visit registries merge in site order, so rows are
-  // byte-identical for any job count.
+  // concurrency). Every site is its own cell — own Simulator, Environment
+  // and observability slice, installed thread-locally on whichever worker
+  // runs it — and slices merge in site order, so rows are byte-identical for
+  // any job count.
   int jobs = 0;
   web::WorkloadConfig workload;
   browser::VantageConfig vantage;  // geography; fault_profile is overwritten

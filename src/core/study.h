@@ -9,8 +9,8 @@
 //
 // Execution is sharded: every (vantage, probe, mode) run is an independent
 // ProbeRunTask (own Simulator, Environment, Rng fork and observability
-// sinks) executed on a util::ThreadPool and merged in canonical shard order,
-// so results are byte-identical for any `jobs` value. docs/PARALLELISM.md
+// slice) run through core::sweep, which merges shards in canonical shard
+// order, so results are byte-identical for any `jobs` value. docs/PARALLELISM.md
 // documents the sharding model and the determinism contract.
 #pragma once
 

@@ -107,14 +107,15 @@ struct ChaosConfig {
   browser::BrowserConfig browser;
   std::uint64_t seed = 20240131;
   int jobs = 1;  // 0 = hardware concurrency
-  // Timeline window width for the per-cell recorders. Ignored when an
+  // Timeline window width for the per-cell slices. Ignored when an
   // observability sink is attached: cells then inherit the sink's bucket so
   // the merged timeline is well-formed.
   Duration timeline_bucket = msec(250);
 };
 
 /// One scenario cell's outcome: fleet-level results, the resilience counters
-/// recorded by the cell's private registry, and any invariant violations.
+/// recorded by the cell's own observability slice, and any invariant
+/// violations.
 struct ChaosCellRow {
   std::string scenario;
   bool h3 = true;
@@ -167,11 +168,11 @@ struct ChaosResult {
   [[nodiscard]] bool all_passed() const;
 };
 
-/// Runs every scenario cell (parallel across cells, deterministic merge).
-/// When `observability` is non-null each cell's metrics and timeline merge
-/// into it in canonical scenario order — byte-identical output at any
-/// --jobs — and every cell's fault->recovery annotation is recorded for the
-/// fault_recovery.json artifact.
+/// Runs every scenario cell through core::sweep (parallel across cells,
+/// deterministic merge). When `observability` is non-null each cell's
+/// metrics, timeline and profile merge into it in canonical scenario order —
+/// byte-identical output at any --jobs — and every cell's fault->recovery
+/// annotation is recorded for the fault_recovery.json artifact.
 ChaosResult run_chaos(const ChaosConfig& config,
                       core::RunObservability* observability = nullptr);
 

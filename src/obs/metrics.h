@@ -164,8 +164,8 @@ namespace detail {
 /// Per-thread registry pointer. Lives in the header as an inline variable so
 /// global() inlines into the instrumentation hooks — the disabled path must
 /// be one thread-local load + one branch, not a function call. thread_local
-/// (rather than a single process-wide pointer) is what lets shard tasks on a
-/// ThreadPool each install their own registry without locking.
+/// (rather than a single process-wide pointer) is what lets core::sweep cells
+/// on parallel workers each install their own registry without locking.
 inline thread_local MetricsRegistry* g_metrics_registry = nullptr;
 }  // namespace detail
 

@@ -279,13 +279,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
     bool is_retx = false;
   };
 
-  struct ReceivedKeyLess {
-    bool operator()(const std::pair<StreamId, std::size_t>& a,
-                    const std::pair<StreamId, std::size_t>& b) const {
-      return a < b;
-    }
-  };
-
   struct DirState {
     CongestionController cc;
     RttEstimator rtt;

@@ -1,80 +1,41 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <utility>
-
-#include "util/check.h"
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace h3cdn::util {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) threads = default_jobs();
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
+void parallel_for(std::size_t n, std::size_t jobs, const std::function<void(std::size_t)>& fn) {
+  if (n == 0) return;
+  if (jobs == 0) jobs = default_jobs();
+  jobs = std::min(jobs, n);
+
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  const auto worker = [&] {
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      try {
+        fn(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (first_error == nullptr) first_error = std::current_exception();
+      }
+    }
+  };
+  std::vector<std::thread> workers;
+  workers.reserve(jobs);
+  for (std::size_t w = 0; w < jobs; ++w) workers.emplace_back(worker);
+  for (std::thread& w : workers) w.join();
+  if (first_error != nullptr) std::rethrow_exception(first_error);
 }
 
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    shutdown_ = true;
-  }
-  task_ready_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  H3CDN_EXPECTS(task != nullptr);
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    H3CDN_EXPECTS(!shutdown_);
-    queue_.push_back(std::move(task));
-    ++in_flight_;
-  }
-  task_ready_.notify_one();
-}
-
-void ThreadPool::wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-  if (first_error_ != nullptr) {
-    std::exception_ptr error = std::exchange(first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
-}
-
-void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  for (std::size_t i = 0; i < n; ++i) {
-    submit([&fn, i] { fn(i); });
-  }
-  wait();
-}
-
-std::size_t ThreadPool::default_jobs() {
+std::size_t default_jobs() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      task_ready_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shutdown with drained queue
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    try {
-      task();
-    } catch (...) {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (first_error_ == nullptr) first_error_ = std::current_exception();
-    }
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (--in_flight_ == 0) all_done_.notify_all();
-  }
 }
 
 }  // namespace h3cdn::util

@@ -1,74 +1,27 @@
-// Fixed-size worker pool for shard-parallel execution.
+// Fork-join parallel loop for cell-parallel execution.
 //
-// The measurement methodology is embarrassingly parallel: every
-// (vantage, probe, mode) shard owns its Simulator, Environment and Rng fork,
-// so shards never share mutable state and can run on any thread. The pool
-// only has to distribute tasks and join; determinism is the *callers'*
-// responsibility and is achieved by merging shard results in canonical shard
-// order after wait() returns (see docs/PARALLELISM.md).
-//
-// Design: one shared FIFO queue guarded by a mutex. Tasks in this codebase
-// are coarse (a whole probe run, hundreds of simulated page loads), so queue
-// contention is irrelevant and work-stealing deques would be complexity
-// without measurable benefit. Workers pull until the queue drains; wait()
-// blocks until every submitted task finished and rethrows the first task
-// exception (by submission order of completion, i.e. first captured).
+// Every parallel experiment in this codebase runs independent cells (a probe
+// run, a fleet cell, a chaos scenario, a site visit) that share no mutable
+// state, so the only job here is to spread indices over worker threads and
+// join. Determinism is the caller's business: core::sweep (core/sweep.h)
+// collects per-index results and folds them in index order afterwards (see
+// docs/PARALLELISM.md). No other code should call parallel_for directly.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace h3cdn::util {
 
-class ThreadPool {
- public:
-  /// Spawns `threads` workers; 0 means default_jobs(). A single-thread pool
-  /// still runs tasks on its one worker (not the calling thread), so code
-  /// paths are identical for every pool size.
-  explicit ThreadPool(std::size_t threads = 0);
+/// Runs `fn(0..n-1)` on min(jobs, n) freshly spawned worker threads
+/// (jobs == 0 means default_jobs()) and joins them. Workers claim the next
+/// unclaimed index from a shared counter, so uneven cell costs balance
+/// themselves. `fn` never runs on the calling thread — jobs == 1 takes the
+/// same code path as any other job count. Every index runs even when one
+/// throws; the first exception captured is rethrown after the join.
+void parallel_for(std::size_t n, std::size_t jobs, const std::function<void(std::size_t)>& fn);
 
-  /// Joins all workers. Pending tasks are still executed (drain semantics);
-  /// destruction blocks until the queue is empty.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  [[nodiscard]] std::size_t size() const { return workers_.size(); }
-
-  /// Enqueues a task. Thread-safe; may be called from worker threads.
-  void submit(std::function<void()> task);
-
-  /// Blocks until every task submitted so far has finished, then rethrows
-  /// the first exception a task threw (if any). The pool stays usable after
-  /// wait(), so one pool can serve several parallel phases.
-  void wait();
-
-  /// Distributes `fn(0..n-1)` across the pool and waits. Dynamic assignment:
-  /// each worker grabs the next unclaimed index, so uneven task costs
-  /// balance automatically. Rethrows the first task exception.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// The default worker count: hardware_concurrency, floored at 1.
-  [[nodiscard]] static std::size_t default_jobs();
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::mutex mutex_;
-  std::condition_variable task_ready_;   // signalled on submit / shutdown
-  std::condition_variable all_done_;     // signalled when in_flight_ hits 0
-  std::deque<std::function<void()>> queue_;
-  std::size_t in_flight_ = 0;  // queued + currently executing
-  std::exception_ptr first_error_;
-  bool shutdown_ = false;
-};
+/// The default worker count: hardware_concurrency, floored at 1.
+[[nodiscard]] std::size_t default_jobs();
 
 }  // namespace h3cdn::util

@@ -11,6 +11,8 @@
 #include "core/observability.h"
 #include "load/arrival.h"
 #include "obs/metrics.h"
+#include "obs/slo.h"
+#include "obs/timeline.h"
 
 namespace h3cdn::load {
 namespace {
@@ -232,6 +234,34 @@ TEST(LoadStudy, JobsDoNotChangeOutputOrMetrics) {
   EXPECT_EQ(serial, parallel);
   EXPECT_EQ(obs::metrics_to_json(obs1.metrics()), obs::metrics_to_json(obs4.metrics()));
   EXPECT_GT(obs1.metrics().counter("load.visits").value(), 0u);
+}
+
+TEST(LoadStudy, SinkRecordsTheFleetTimelineAndFeedsTheSlos) {
+  // The fleet's load.* timeline hooks record into the cell's slice, so a
+  // sink gets queue-depth and PLT series and the queue SLO has windows to
+  // judge — identically at any job count.
+  auto cfg = small_config();
+  core::RunObservability obs1;
+  (void)run_load_study(cfg, &obs1);
+  const auto& timeline = obs1.timeline();
+  EXPECT_EQ(timeline.gauges().count("load.queue_depth"), 1u);
+  EXPECT_EQ(timeline.histograms().count("load.plt_ms"), 1u);
+  EXPECT_EQ(timeline.counters().count("load.visits"), 1u);
+
+  const auto slos = obs::evaluate_slos(timeline, obs1.config().slo);
+  bool saw_queue_slo = false;
+  for (const obs::SloResult& r : slos) {
+    if (r.objective.name != "accept-queue-under-32") continue;
+    saw_queue_slo = true;
+    EXPECT_FALSE(r.no_data);
+    EXPECT_GT(r.windows - r.empty_windows, 0u);
+  }
+  EXPECT_TRUE(saw_queue_slo);
+
+  cfg.jobs = 4;
+  core::RunObservability obs4;
+  (void)run_load_study(cfg, &obs4);
+  EXPECT_EQ(obs::timeline_to_json(obs1.timeline()), obs::timeline_to_json(obs4.timeline()));
 }
 
 TEST(LoadStudy, LatencyAndQueueDegradeAcrossTheCapacityKnee) {

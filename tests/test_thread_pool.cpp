@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -11,88 +10,61 @@
 namespace h3cdn::util {
 namespace {
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { ran.fetch_add(1); });
-  pool.wait();
-  EXPECT_EQ(ran.load(), 100);
-}
-
 TEST(ThreadPool, ZeroMeansDefaultJobs) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), ThreadPool::default_jobs());
-  EXPECT_GE(ThreadPool::default_jobs(), 1u);
+  EXPECT_GE(default_jobs(), 1u);
+  std::vector<std::atomic<int>> hits(9);
+  parallel_for(hits.size(), 0, [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(ThreadPool, SingleThreadPoolStillRunsOnWorker) {
-  // jobs=1 must use the same code path as jobs=N: tasks run on a pool
-  // worker, never inline on the caller.
-  ThreadPool pool(1);
+  // jobs=1 must use the same code path as jobs=N: cells run on a worker
+  // thread, never inline on the caller.
   std::thread::id task_thread;
-  pool.submit([&] { task_thread = std::this_thread::get_id(); });
-  pool.wait();
+  parallel_for(1, 1, [&](std::size_t) { task_thread = std::this_thread::get_id(); });
+  EXPECT_NE(task_thread, std::thread::id{});
   EXPECT_NE(task_thread, std::this_thread::get_id());
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  parallel_for(hits.size(), 4, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(ThreadPool, ParallelForZeroIsANoOp) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t) { FAIL() << "must not be called"; });
-}
-
-TEST(ThreadPool, WaitRethrowsTaskException) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("shard failed"); });
-  EXPECT_THROW(pool.wait(), std::runtime_error);
+  parallel_for(0, 2, [](std::size_t) { FAIL() << "must not be called"; });
 }
 
 TEST(ThreadPool, UsableAgainAfterException) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("first phase"); });
-  EXPECT_THROW(pool.wait(), std::runtime_error);
+  EXPECT_THROW(parallel_for(2, 2, [](std::size_t) { throw std::runtime_error("first phase"); }),
+               std::runtime_error);
   std::atomic<int> ran{0};
-  pool.submit([&] { ran.fetch_add(1); });
-  pool.wait();  // the old exception must not resurface
-  EXPECT_EQ(ran.load(), 1);
+  parallel_for(3, 2, [&](std::size_t) { ran.fetch_add(1); });  // no stale exception
+  EXPECT_EQ(ran.load(), 3);
 }
 
 TEST(ThreadPool, ServesSeveralPhasesBackToBack) {
-  // One pool serving several parallel_for phases, like run_resilience does
-  // for its sweep cells.
-  ThreadPool pool(3);
+  // Several parallel_for phases in a row, like run_resilience's per-row
+  // sweeps.
   std::atomic<int> total{0};
   for (int phase = 0; phase < 5; ++phase) {
-    pool.parallel_for(10, [&](std::size_t) { total.fetch_add(1); });
+    parallel_for(10, 3, [&](std::size_t) { total.fetch_add(1); });
   }
   EXPECT_EQ(total.load(), 50);
 }
 
-TEST(ThreadPool, TasksMaySubmitMoreTasks) {
-  ThreadPool pool(2);
+TEST(ThreadPool, ParallelForRethrowsTaskException) {
+  // The throwing index does not stop the others; the exception surfaces
+  // after the join.
   std::atomic<int> ran{0};
-  pool.submit([&] {
-    ran.fetch_add(1);
-    pool.submit([&] { ran.fetch_add(1); });
-  });
-  pool.wait();
-  EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(ThreadPool, DestructorDrainsPendingTasks) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 20; ++i) pool.submit([&] { ran.fetch_add(1); });
-    // no wait(): destruction must still execute everything
-  }
-  EXPECT_EQ(ran.load(), 20);
+  EXPECT_THROW(parallel_for(8, 2,
+                            [&](std::size_t i) {
+                              ran.fetch_add(1);
+                              if (i == 3) throw std::runtime_error("shard failed");
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 8);
 }
 
 }  // namespace

@@ -40,10 +40,15 @@
 //     --obs DIR          record run-wide observability artifacts into DIR
 //                        (metrics.{json,csv,prom}, qlog.json, waterfalls.json,
 //                        profile.json — inspect with h3cdn_obs_report)
-#include <cstring>
+//
+// A malformed or out-of-range number or list is a usage error: the tool
+// names the option and exits with status 2 before running anything.
+#include <charconv>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -108,6 +113,39 @@ struct Options {
   std::exit(2);
 }
 
+/// Parses all of `text` as a T in [lo, hi]. Anything else — an empty value,
+/// trailing characters, a sign on an unsigned option, nan, out of range — is
+/// a usage error (exit status 2) naming the option.
+template <typename T>
+T parse_number(const char* argv0, const std::string& option, const std::string& text,
+               T lo = std::numeric_limits<T>::lowest(), T hi = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || stop != end || !(value >= lo && value <= hi)) {
+    std::cerr << argv0 << ": invalid value '" << text << "' for " << option << "\n";
+    usage(argv0);
+  }
+  return value;
+}
+
+/// Splits a comma-separated option value, skipping empty items. An empty
+/// list is a usage error.
+std::vector<std::string> split_list(const char* argv0, const std::string& option,
+                                    const std::string& text) {
+  std::vector<std::string> items;
+  std::stringstream list(text);
+  std::string item;
+  while (std::getline(list, item, ',')) {
+    if (!item.empty()) items.push_back(item);
+  }
+  if (items.empty()) {
+    std::cerr << argv0 << ": empty list for " << option << "\n";
+    usage(argv0);
+  }
+  return items;
+}
+
 Options parse(int argc, char** argv) {
   Options o;
   o.study.workload.site_count = 325;
@@ -117,78 +155,66 @@ Options parse(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    auto number = [&]<typename T>(T lo, T hi = std::numeric_limits<T>::max()) {
+      return parse_number<T>(argv[0], arg, next(), lo, hi);
+    };
+    auto list = [&] { return split_list(argv[0], arg, next()); };
     if (arg == "--sites") {
-      o.study.max_sites = static_cast<std::size_t>(std::stoul(next()));
+      o.study.max_sites = number(std::size_t{0});
       o.sites_set = true;
     } else if (arg == "--probes") {
-      o.study.probes_per_vantage = std::stoi(next());
+      o.study.probes_per_vantage = number(1);
     } else if (arg == "--loss") {
-      o.study.loss_rate = std::stod(next());
+      o.study.loss_rate = number(0.0, 1.0);
     } else if (arg == "--consecutive") {
       o.study.consecutive = true;
     } else if (arg == "--seed") {
-      o.study.seed = std::stoull(next());
+      o.study.seed = number(std::uint64_t{0});
     } else if (arg == "--jobs") {
-      o.study.jobs = std::stoi(next());
-      if (o.study.jobs < 0) usage(argv[0]);
+      o.study.jobs = number(0);
     } else if (arg == "--experiment") {
       o.experiment = next();
     } else if (arg == "--load-rates") {
       o.load_rates.clear();
-      std::stringstream list(next());
-      std::string item;
-      while (std::getline(list, item, ',')) {
-        if (!item.empty()) o.load_rates.push_back(std::stod(item));
+      for (const std::string& item : list()) {
+        o.load_rates.push_back(
+            parse_number(argv[0], arg, item, std::numeric_limits<double>::min()));
       }
-      if (o.load_rates.empty()) usage(argv[0]);
     } else if (arg == "--load-window") {
-      o.load_window_s = std::stod(next());
-      if (o.load_window_s <= 0) usage(argv[0]);
+      o.load_window_s = number(std::numeric_limits<double>::min());
     } else if (arg == "--load-arrival") {
       bool ok = true;
       o.load_arrival = load::arrival_kind_from_string(next(), &ok);
       if (!ok) usage(argv[0]);
     } else if (arg == "--plans") {
-      o.topo_plans.clear();
-      std::stringstream list(next());
-      std::string item;
-      while (std::getline(list, item, ',')) {
-        if (item.empty()) continue;
-        if (!topology::PathPlan::parse(item)) usage(argv[0]);
-        o.topo_plans.push_back(item);
+      o.topo_plans = list();
+      for (const std::string& plan : o.topo_plans) {
+        if (!topology::PathPlan::parse(plan)) usage(argv[0]);
       }
-      if (o.topo_plans.empty()) usage(argv[0]);
     } else if (arg == "--topo-loss") {
       o.topo_loss.clear();
-      std::stringstream list(next());
-      std::string item;
-      while (std::getline(list, item, ',')) {
-        if (!item.empty()) o.topo_loss.push_back(std::stod(item));
+      for (const std::string& item : list()) {
+        o.topo_loss.push_back(parse_number(argv[0], arg, item, 0.0, 1.0));
       }
-      if (o.topo_loss.empty()) usage(argv[0]);
     } else if (arg == "--shards") {
-      o.study.workload.domain_shards = static_cast<std::size_t>(std::stoul(next()));
-      if (o.study.workload.domain_shards < 1) usage(argv[0]);
+      o.study.workload.domain_shards = number(std::size_t{1});
     } else if (arg == "--fleet-sample") {
-      o.fleet_sample = static_cast<std::size_t>(std::stoul(next()));
+      o.fleet_sample = number(std::size_t{0});
     } else if (arg == "--fleet-sample-verify") {
       o.fleet_sample_verify = true;
     } else if (arg == "--link-mix") {
       // NAME:WEIGHT pairs, e.g. wired:0.7,cellular:0.3
-      std::stringstream list(next());
-      std::string item;
-      while (std::getline(list, item, ',')) {
-        if (item.empty()) continue;
+      for (const std::string& item : list()) {
         const std::size_t colon = item.find(':');
         load::LinkMixEntry entry;
         entry.profile = item.substr(0, colon);
-        if (colon != std::string::npos) entry.weight = std::stod(item.substr(colon + 1));
-        if (!net::LinkProfile::from_name(entry.profile) || entry.weight <= 0) {
-          usage(argv[0]);
+        if (colon != std::string::npos) {
+          entry.weight = parse_number(argv[0], arg, item.substr(colon + 1),
+                                      std::numeric_limits<double>::min());
         }
+        if (!net::LinkProfile::from_name(entry.profile)) usage(argv[0]);
         o.link_mix.push_back(entry);
       }
-      if (o.link_mix.empty()) usage(argv[0]);
     } else if (arg == "--link-profile") {
       o.study.link_profile = next();
       if (!net::LinkProfile::from_name(o.study.link_profile)) usage(argv[0]);
@@ -198,15 +224,13 @@ Options parse(int argc, char** argv) {
       o.cluster_algo = next();
       if (o.cluster_algo != "dbscan" && o.cluster_algo != "kmeans") usage(argv[0]);
     } else if (arg == "--cluster-eps") {
-      o.cluster_eps = std::stod(next());
-      if (o.cluster_eps < 0) usage(argv[0]);
+      o.cluster_eps = number(0.0);
     } else if (arg == "--cluster-min-pts") {
-      o.cluster_min_pts = static_cast<std::size_t>(std::stoul(next()));
-      if (o.cluster_min_pts < 1) usage(argv[0]);
+      o.cluster_min_pts = number(std::size_t{1});
     } else if (arg == "--cluster-k-min") {
-      o.cluster_k_min = static_cast<std::size_t>(std::stoul(next()));
+      o.cluster_k_min = number(std::size_t{0});
     } else if (arg == "--cluster-k-max") {
-      o.cluster_k_max = static_cast<std::size_t>(std::stoul(next()));
+      o.cluster_k_max = number(std::size_t{0});
     } else if (arg == "--cluster-qoe") {
       o.cluster_qoe = true;
     } else if (arg == "--cluster-no-ab") {
@@ -232,6 +256,35 @@ bool wants(const Options& o, const char* name) {
   return o.experiment == "all" || o.experiment == name;
 }
 
+/// A chaos, load or topology config carrying the knobs those sweeps share
+/// with the study: workload, --sites (when given), --seed, --jobs and, for
+/// the sweeps that model one vantage, --link-profile (the load sweep takes
+/// --link-mix instead).
+template <typename Config>
+Config sweep_config(const Options& o, bool apply_link_profile) {
+  Config cfg;
+  cfg.workload = o.study.workload;
+  if (o.sites_set) cfg.sites = o.study.max_sites;
+  cfg.seed = o.study.seed;
+  cfg.jobs = o.study.jobs;
+  if (apply_link_profile && !o.study.link_profile.empty()) {
+    browser::apply_link_profile(cfg.vantage, *net::LinkProfile::from_name(o.study.link_profile));
+  }
+  return cfg;
+}
+
+/// Writes an experiment result as CSV (--format csv) or text.
+template <typename Result>
+void write_result(std::ostream& os, bool csv, const Result& result,
+                  std::string (*to_csv)(const Result&),
+                  void (*print)(std::ostream&, const Result&)) {
+  if (csv) {
+    os << to_csv(result);
+  } else {
+    print(os, result);
+  }
+}
+
 // Returns a process exit status: nonzero when a chaos invariant failed.
 int emit(const Options& o, std::ostream& os) {
   const bool csv = o.format == "csv";
@@ -240,22 +293,10 @@ int emit(const Options& o, std::ostream& os) {
   // engine and checks run invariants per cell (docs/RESILIENCE.md). Not part
   // of "all"; a violated invariant fails the invocation (CI smoke hooks this).
   if (o.experiment == "chaos") {
-    core::ChaosConfig cfg;
-    cfg.workload = o.study.workload;
-    if (o.sites_set) cfg.sites = o.study.max_sites;
-    cfg.seed = o.study.seed;
-    cfg.jobs = o.study.jobs;
+    auto cfg = sweep_config<core::ChaosConfig>(o, true);
     cfg.resilience.enabled = !o.no_resilience;
-    if (!o.study.link_profile.empty()) {
-      const auto profile = net::LinkProfile::from_name(o.study.link_profile);
-      browser::apply_link_profile(cfg.vantage, *profile);
-    }
     const core::ChaosResult result = core::run_chaos(cfg, o.study.observability);
-    if (csv) {
-      os << core::chaos_result_to_csv(result);
-    } else {
-      core::print_chaos_result(os, result);
-    }
+    write_result(os, csv, result, core::chaos_result_to_csv, core::print_chaos_result);
     if (!result.all_passed()) {
       std::cerr << "chaos: invariant violations detected\n";
       return 1;
@@ -266,22 +307,14 @@ int emit(const Options& o, std::ostream& os) {
   // The load sweep is its own experiment (and deliberately not part of
   // "all": it measures a loaded fleet, not the paper's idle-edge probes).
   if (o.experiment == "load") {
-    load::LoadStudyConfig cfg;
-    cfg.workload = o.study.workload;
-    if (o.sites_set) cfg.sites = o.study.max_sites;
-    cfg.seed = o.study.seed;
-    cfg.jobs = o.study.jobs;
+    auto cfg = sweep_config<load::LoadStudyConfig>(o, false);
     cfg.arrival = o.load_arrival;
     cfg.offered_rates = o.load_rates;
     cfg.window = from_ms(o.load_window_s * 1000.0);
     cfg.link_mix = o.link_mix;
     cfg.sampling.target = o.fleet_sample;
     const load::LoadResult result = load::run_load_study(cfg, o.study.observability);
-    if (csv) {
-      os << load::load_result_to_csv(result);
-    } else {
-      load::print_load_result(os, result);
-    }
+    write_result(os, csv, result, load::load_result_to_csv, load::print_load_result);
     if (o.fleet_sample_verify) {
       if (o.fleet_sample == 0) {
         std::cerr << "--fleet-sample-verify requires --fleet-sample N\n";
@@ -303,23 +336,11 @@ int emit(const Options& o, std::ostream& os) {
   // per-hop protocol choice, reported as end-to-end + per-hop PLT dissections.
   // Not part of "all"; a violated additivity invariant fails the invocation.
   if (o.experiment == "topology") {
-    core::TopologyConfig cfg;
-    cfg.workload = o.study.workload;
-    if (o.sites_set) cfg.sites = o.study.max_sites;
+    auto cfg = sweep_config<core::TopologyConfig>(o, true);
     cfg.plans = o.topo_plans;
     cfg.loss_rates = o.topo_loss;
-    cfg.seed = o.study.seed;
-    cfg.jobs = o.study.jobs;
-    if (!o.study.link_profile.empty()) {
-      const auto profile = net::LinkProfile::from_name(o.study.link_profile);
-      browser::apply_link_profile(cfg.vantage, *profile);
-    }
     const core::TopologyResult result = core::run_topology(cfg, o.study.observability);
-    if (csv) {
-      os << core::topology_result_to_csv(result);
-    } else {
-      core::print_topology_result(os, result);
-    }
+    write_result(os, csv, result, core::topology_result_to_csv, core::print_topology_result);
     if (!result.all_passed()) {
       std::cerr << "topology: per-hop attribution invariant violations detected\n";
       return 1;
@@ -419,65 +440,38 @@ int emit(const Options& o, std::ostream& os) {
                            : core::MeasurementStudy(cfg).run();
   }
 
-  auto text_or_csv = [&](const char* name, auto compute, auto print, auto to_csv) {
-    if (!wants(o, name)) return;
-    const auto result = compute();
-    if (csv) {
-      os << to_csv(result);
-    } else {
-      print(os, result);
-    }
+  // Writes the table or figure `name`, computed from `study`, when
+  // --experiment asks for it.
+  const auto from_study = [&](const core::StudyResult& study, const char* name, auto compute,
+                              auto to_csv, auto print) {
+    if (wants(o, name)) write_result(os, csv, compute(study), to_csv, print);
   };
-
   if (standard) {
-    const auto& study = *standard;
-    text_or_csv(
-        "table2", [&] { return core::compute_table2(study); },
-        [](std::ostream& s, const auto& r) { core::print_table2(s, r); }, core::table2_to_csv);
-    text_or_csv(
-        "fig2", [&] { return core::compute_fig2(study); },
-        [](std::ostream& s, const auto& r) { core::print_fig2(s, r); }, core::fig2_to_csv);
-    text_or_csv(
-        "fig3", [&] { return core::compute_fig3(study); },
-        [](std::ostream& s, const auto& r) { core::print_fig3(s, r); }, core::fig3_to_csv);
-    text_or_csv(
-        "fig4", [&] { return core::compute_fig4(study); },
-        [](std::ostream& s, const auto& r) { core::print_fig4(s, r); }, core::fig4_to_csv);
-    text_or_csv(
-        "fig5", [&] { return core::compute_fig5(study); },
-        [](std::ostream& s, const auto& r) { core::print_fig5(s, r); }, core::fig5_to_csv);
-    text_or_csv(
-        "fig6", [&] { return core::compute_fig6(study); },
-        [](std::ostream& s, const auto& r) { core::print_fig6(s, r); }, core::fig6_to_csv);
-    text_or_csv(
-        "fig7", [&] { return core::compute_fig7(study); },
-        [](std::ostream& s, const auto& r) { core::print_fig7(s, r); }, core::fig7_to_csv);
-    text_or_csv(
-        "dissection", [&] { return core::compute_plt_dissection(study); },
-        [](std::ostream& s, const auto& r) { core::print_plt_dissection(s, r); },
-        core::dissection_to_csv);
+    const core::StudyResult& study = *standard;
+    from_study(study, "table2", core::compute_table2, core::table2_to_csv, core::print_table2);
+    from_study(study, "fig2", core::compute_fig2, core::fig2_to_csv, core::print_fig2);
+    from_study(study, "fig3", core::compute_fig3, core::fig3_to_csv, core::print_fig3);
+    from_study(study, "fig4", core::compute_fig4, core::fig4_to_csv, core::print_fig4);
+    from_study(study, "fig5", core::compute_fig5, core::fig5_to_csv, core::print_fig5);
+    from_study(study, "fig6", core::compute_fig6, core::fig6_to_csv, core::print_fig6);
+    from_study(study, "fig7", core::compute_fig7, core::fig7_to_csv, core::print_fig7);
+    from_study(study, "dissection", core::compute_plt_dissection, core::dissection_to_csv,
+               core::print_plt_dissection);
     if (wants(o, "summary")) os << core::summary_to_json(study) << '\n';
   }
-
   if (consecutive) {
-    const auto& study = *consecutive;
-    text_or_csv(
-        "fig8", [&] { return core::compute_fig8(study); },
-        [](std::ostream& s, const auto& r) { core::print_fig8(s, r); }, core::fig8_to_csv);
-    text_or_csv(
-        "table3", [&] { return core::compute_table3(study); },
-        [](std::ostream& s, const auto& r) { core::print_table3(s, r); }, core::table3_to_csv);
+    const core::StudyResult& study = *consecutive;
+    from_study(study, "fig8", core::compute_fig8, core::fig8_to_csv, core::print_fig8);
+    if (wants(o, "table3")) {
+      write_result(os, csv, core::compute_table3(study), core::table3_to_csv, core::print_table3);
+    }
   }
 
   if (wants(o, "fig9")) {
     core::StudyConfig cfg = o.study;
     cfg.consecutive = false;
-    const auto fig9 = core::compute_fig9(cfg, {0.0, 0.005, 0.01});
-    if (csv) {
-      os << core::fig9_to_csv(fig9);
-    } else {
-      core::print_fig9(os, fig9);
-    }
+    write_result(os, csv, core::compute_fig9(cfg, {0.0, 0.005, 0.01}), core::fig9_to_csv,
+                 core::print_fig9);
   }
   return 0;
 }
@@ -487,6 +481,10 @@ int emit(const Options& o, std::ostream& os) {
 int main(int argc, char** argv) {
   Options o = parse(argc, argv);
   if (o.format != "text" && o.format != "csv") usage(argv[0]);
+  // --sites 0 means "every site" to the study; the sweeps need at least one.
+  const bool sweep_experiment = o.experiment == "chaos" || o.experiment == "load" ||
+                                o.experiment == "topology";
+  if (sweep_experiment && o.sites_set && o.study.max_sites == 0) usage(argv[0]);
 
   // Every study run in this invocation shares one observability sink, so the
   // artifacts describe the invocation as a whole.
